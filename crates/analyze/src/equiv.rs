@@ -16,6 +16,7 @@
 
 use panorama_dfg::{Dfg, OpId, OpKind};
 use panorama_sim::interpret;
+use panorama_sim::semantics::Hashed;
 use std::error::Error;
 use std::fmt;
 
@@ -109,8 +110,8 @@ pub fn check_mapped(
             entries: map.len(),
         });
     }
-    let before = interpret(original, iterations);
-    let after = interpret(optimized, iterations);
+    let before = interpret(original, &Hashed, iterations);
+    let after = interpret(optimized, &Hashed, iterations);
     for op in original.op_ids() {
         match map[op.index()] {
             Some(image) => {

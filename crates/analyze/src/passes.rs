@@ -10,7 +10,7 @@
 use crate::engine::fixpoint;
 use crate::lattice::{Level, Value};
 use panorama_dfg::{Dfg, OpId, OpKind};
-use panorama_sim::semantics;
+use panorama_sim::semantics::{self, Semantics};
 
 /// Computes the flat constant lattice value of every op.
 ///
@@ -19,7 +19,8 @@ use panorama_sim::semantics;
 /// * any op with an incoming loop-carried edge is `Top` — its value
 ///   depends on the iteration through the back input;
 /// * a pure compute op whose data inputs are all `Known` is `Known` with
-///   the interpreter's own `compute_value` (multiplicity included).
+///   the interpreter's own [`semantics::Hashed`] arithmetic (multiplicity
+///   included).
 pub fn constant_values(dfg: &Dfg) -> Vec<Value> {
     let n = dfg.num_ops();
     let mut dependents = vec![Vec::new(); n];
@@ -46,7 +47,7 @@ pub fn constant_values(dfg: &Dfg) -> Vec<Value> {
                         Value::Known(v) => inputs.push(v),
                     }
                 }
-                Value::Known(semantics::compute_value(kind, inputs.into_iter()))
+                Value::Known(semantics::Hashed.compute(kind, &inputs))
             }
         }
     })
@@ -107,6 +108,7 @@ mod tests {
     use super::*;
     use panorama_dfg::DfgBuilder;
     use panorama_sim::interpret;
+    use panorama_sim::semantics::Hashed;
 
     fn const_chain() -> Dfg {
         // c0, c1 -> add -> st ; ld -> add2 (add is foldable, add2 is not)
@@ -129,7 +131,7 @@ mod tests {
     fn constant_values_match_the_interpreter() {
         let dfg = const_chain();
         let vals = constant_values(&dfg);
-        let interp = interpret(&dfg, 3);
+        let interp = interpret(&dfg, &Hashed, 3);
         for op in dfg.op_ids() {
             if let Value::Known(v) = vals[op.index()] {
                 for iter in 0..3 {

@@ -52,7 +52,6 @@ pub use panorama_analyze as analyze;
 pub use panorama_arch as arch;
 pub use panorama_cluster as cluster;
 pub use panorama_dfg as dfg;
-pub use panorama_exec as exec;
 pub use panorama_graph as graph;
 pub use panorama_ilp as ilp;
 pub use panorama_linalg as linalg;
@@ -61,4 +60,5 @@ pub use panorama_mapper as mapper;
 pub use panorama_place as place;
 pub use panorama_power as power;
 pub use panorama_sim as sim;
+pub use panorama_sim::exec;
 pub use panorama_trace as trace;

@@ -16,7 +16,7 @@
 //! RNG streams are decorrelated with a SplitMix64 mix, the pipeline runs
 //! single-threaded, and the report carries no wall-clock data — running
 //! the same budget twice must produce byte-identical JSON, and
-//! `panorama lint --fuzz-json` (FUZZ002) checks exactly that.
+//! `panorama lint --report` (FUZZ002) checks exactly that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

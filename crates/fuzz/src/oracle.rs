@@ -4,7 +4,7 @@
 //! | oracle     | kind    | catches |
 //! |------------|---------|---------|
 //! | `verify`   | static  | structural violations: FU conflicts, missing/disconnected routes, dependence or capacity violations |
-//! | `simulate` | dynamic | cycle-accurate disagreements: wrong operand arrival, value collisions, golden-value mismatches vs the interpreter |
+//! | `simulate` | dynamic | route-replay disagreements: wrong operand arrival, misrouted endpoints, and value collisions named by resource and cycle |
 //! | `exec`     | dynamic | value-level divergences: the generated configware, replayed data-carrying on the fabric model under concrete input vectors, disagreeing with direct DFG interpretation — a semantically wrong encoder. Abstract backends (no routes) are excluded |
 //! | `exact_ii` | cross   | a route-producing backend reporting an II below the exhaustive mapper's optimum — an unsound II claim. Abstract backends (no routes) are excluded: their relaxed interconnect model makes lower IIs legitimate |
 //! | `rewrite`  | cross   | the `panorama-analyze` optimizer producing a graph the reference interpreter distinguishes from the input — a broken rewrite (per case, before any mapping) |
@@ -18,11 +18,11 @@ use panorama::{Panorama, PanoramaConfig};
 use panorama_analyze::{optimize, AnalyzeConfig};
 use panorama_arch::Cgra;
 use panorama_dfg::Dfg;
-use panorama_exec::{execute, ExecError, ExecOptions};
 use panorama_mapper::{
     CancelToken, ExactMapper, LowerLevelMapper, SatMapper, SatMapperConfig, SearchControl,
     SprMapper, UltraFastMapper,
 };
+use panorama_sim::exec::{execute, ExecError, ExecOptions};
 use panorama_sim::{simulate, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -3,7 +3,7 @@
 //!
 //! The report is deliberately free of wall-clock data — two runs of the
 //! same `(seed, cases, max_nodes)` budget must serialize byte-identically,
-//! and `panorama lint --fuzz-json` (FUZZ002) checks exactly that.
+//! and `panorama lint --report` (FUZZ002) checks exactly that.
 
 use crate::oracle::{Backend, CaseResult, OracleOutcome};
 use panorama_trace::json::escape;

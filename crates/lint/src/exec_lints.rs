@@ -15,26 +15,15 @@
 //! arithmetic: a `pass` status must be backed by divergence-free vector
 //! rows whose checked counts cover every (op, iteration) token.
 
-use crate::{Diagnostic, Diagnostics, Entity, Severity};
+use crate::report_fields::{err, uint};
+use crate::{Diagnostics, Entity};
 use panorama_trace::json::{self, Json};
 
-/// The schema this linter validates (mirrored by `panorama-exec`).
+/// The schema this linter validates (mirrored by `panorama_sim::exec`).
 pub const EXEC_SCHEMA: &str = "panorama-exec-v1";
 
 /// The five input-vector families every report must carry, in order.
 const VECTORS: &[&str] = &["seeded", "zeros", "ones", "i32-min", "i32-max"];
-
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
-fn num(doc: &Json, field: &str) -> Option<u64> {
-    let v = doc.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
 
 /// `EXEC001`: schema and field shape. Returns `false` when the report is
 /// too malformed for the invariant checks to be meaningful.
@@ -70,7 +59,7 @@ fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
         }
     }
     for field in ["ii", "iterations", "seed", "ops", "stores", "checked"] {
-        if num(doc, field).is_none() {
+        if uint(doc, field).is_none() {
             out.push(err(
                 "EXEC001",
                 Entity::Global,
@@ -102,7 +91,7 @@ fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
                     ok = false;
                 }
                 for field in ["checked", "output_tokens"] {
-                    if num(row, field).is_none() {
+                    if uint(row, field).is_none() {
                         out.push(err(
                             "EXEC001",
                             Entity::Event(i),
@@ -180,14 +169,14 @@ fn check_conservation(doc: &Json, out: &mut Diagnostics) {
             ),
         ));
     }
-    let ops = num(doc, "ops").unwrap_or(0);
-    let stores = num(doc, "stores").unwrap_or(0);
-    let iterations = num(doc, "iterations").unwrap_or(0);
+    let ops = uint(doc, "ops").unwrap_or(0);
+    let stores = uint(doc, "stores").unwrap_or(0);
+    let iterations = uint(doc, "iterations").unwrap_or(0);
     let mut divergences = 0usize;
     let mut checked_sum = 0u64;
     for (i, row) in rows.iter().enumerate() {
         let vector = row.get("vector").and_then(Json::as_str).unwrap_or("?");
-        let checked = num(row, "checked").unwrap_or(0);
+        let checked = uint(row, "checked").unwrap_or(0);
         checked_sum += checked;
         let diverged = row.get("divergence").and_then(Json::as_str).is_some();
         if diverged {
@@ -203,7 +192,7 @@ fn check_conservation(doc: &Json, out: &mut Diagnostics) {
                 ),
             ));
         }
-        let tokens = num(row, "output_tokens").unwrap_or(0);
+        let tokens = uint(row, "output_tokens").unwrap_or(0);
         if tokens != stores * iterations {
             out.push(err(
                 "EXEC003",
@@ -215,7 +204,7 @@ fn check_conservation(doc: &Json, out: &mut Diagnostics) {
             ));
         }
     }
-    if let Some(total) = num(doc, "checked") {
+    if let Some(total) = uint(doc, "checked") {
         if total != checked_sum {
             out.push(err(
                 "EXEC003",

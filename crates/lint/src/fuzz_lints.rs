@@ -14,31 +14,12 @@
 //! every oracle's `checks == pass + fail + skip`, the failure list is as
 //! long as the fail tallies plus crashes, and `completed <= cases`.
 
+use crate::report_fields::{err, uint};
 use crate::{Diagnostic, Diagnostics, Entity, Severity};
 use panorama_trace::json::{self, Json};
 
 /// The schema this linter validates (mirrored by `panorama-fuzz`).
 pub const FUZZ_SCHEMA: &str = "panorama-fuzz-v2";
-
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
-fn top_num(doc: &Json, field: &str) -> Option<u64> {
-    let v = doc.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
-
-fn row_num(row: &Json, field: &str) -> Option<u64> {
-    let v = row.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
 
 /// The five oracles every report must tally, in report order.
 const ORACLES: &[&str] = &["verify", "simulate", "exec", "exact_ii", "rewrite"];
@@ -67,7 +48,7 @@ fn check_shape(doc: &Json, at: Entity, out: &mut Diagnostics) -> bool {
     }
     let mut ok = true;
     for field in ["seed", "cases", "max_nodes", "completed", "crashes"] {
-        if top_num(doc, field).is_none() {
+        if uint(doc, field).is_none() {
             out.push(err(
                 "FUZZ001",
                 at.clone(),
@@ -100,7 +81,7 @@ fn check_shape(doc: &Json, at: Entity, out: &mut Diagnostics) -> bool {
                     }
                 }
                 for field in ["checks", "pass", "fail", "skip"] {
-                    if row_num(row, field).is_none() {
+                    if uint(row, field).is_none() {
                         out.push(err(
                             "FUZZ001",
                             at.clone(),
@@ -147,15 +128,15 @@ fn check_shape(doc: &Json, at: Entity, out: &mut Diagnostics) -> bool {
 
 /// `FUZZ002` (single report): the tally conservation laws.
 fn check_conservation(doc: &Json, at: Entity, out: &mut Diagnostics) {
-    let mut total_fails = top_num(doc, "crashes").unwrap_or(0);
+    let mut total_fails = uint(doc, "crashes").unwrap_or(0);
     if let Some(rows) = doc.get("oracles").and_then(Json::as_arr) {
         for row in rows {
             let name = row.get("oracle").and_then(Json::as_str).unwrap_or("?");
             let (checks, pass, fail, skip) = (
-                row_num(row, "checks").unwrap_or(0),
-                row_num(row, "pass").unwrap_or(0),
-                row_num(row, "fail").unwrap_or(0),
-                row_num(row, "skip").unwrap_or(0),
+                uint(row, "checks").unwrap_or(0),
+                uint(row, "pass").unwrap_or(0),
+                uint(row, "fail").unwrap_or(0),
+                uint(row, "skip").unwrap_or(0),
             );
             if checks != pass + fail + skip {
                 out.push(err(
@@ -182,8 +163,8 @@ fn check_conservation(doc: &Json, at: Entity, out: &mut Diagnostics) {
         }
     }
     let (completed, cases) = (
-        top_num(doc, "completed").unwrap_or(0),
-        top_num(doc, "cases").unwrap_or(0),
+        uint(doc, "completed").unwrap_or(0),
+        uint(doc, "cases").unwrap_or(0),
     );
     if completed > cases {
         out.push(err(
@@ -213,9 +194,9 @@ fn check_corpus(doc: &Json, at: Entity, out: &mut Diagnostics) {
         return;
     };
     let (total, replayed, failed) = (
-        row_num(corpus, "total").unwrap_or(0),
-        row_num(corpus, "replayed").unwrap_or(0),
-        row_num(corpus, "failed").unwrap_or(0),
+        uint(corpus, "total").unwrap_or(0),
+        uint(corpus, "replayed").unwrap_or(0),
+        uint(corpus, "failed").unwrap_or(0),
     );
     if replayed != total {
         out.push(err(
@@ -246,13 +227,7 @@ fn check_corpus(doc: &Json, at: Entity, out: &mut Diagnostics) {
 /// `FUZZ002` (report pairs): identical budgets must yield identical
 /// reports — the harness's core determinism claim.
 fn check_determinism(prev: &Json, cur: &Json, at: Entity, out: &mut Diagnostics) {
-    let budget = |d: &Json| {
-        (
-            top_num(d, "seed"),
-            top_num(d, "cases"),
-            top_num(d, "max_nodes"),
-        )
-    };
+    let budget = |d: &Json| (uint(d, "seed"), uint(d, "cases"), uint(d, "max_nodes"));
     if budget(prev) != budget(cur) {
         return;
     }
@@ -273,7 +248,7 @@ fn check_determinism(prev: &Json, cur: &Json, at: Entity, out: &mut Diagnostics)
             at,
             format!(
                 "two reports with seed {} and identical budgets differ: the harness is not deterministic",
-                top_num(cur, "seed").unwrap_or(0)
+                uint(cur, "seed").unwrap_or(0)
             ),
         ));
     }

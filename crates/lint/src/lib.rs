@@ -67,6 +67,7 @@ pub mod ilp_lints;
 pub mod partition_lints;
 pub mod precheck;
 mod registry;
+mod report_fields;
 pub mod sat_lints;
 pub mod serve_lints;
 pub mod trace_lints;

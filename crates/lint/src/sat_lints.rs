@@ -14,6 +14,7 @@
 //! does — each occurrence was re-blocked and re-solved, so results stay
 //! sound, but the encoding should be fixed.
 
+use crate::report_fields::{err, uint};
 use crate::{Diagnostic, Diagnostics, Entity, Severity};
 use panorama_trace::json::{self, Json};
 
@@ -22,18 +23,6 @@ pub const SAT_SCHEMA: &str = "panorama-sat-v1";
 
 /// Attempt outcomes the mapper records.
 const RESULTS: &[&str] = &["mapped", "unsat", "budget", "timeout", "cancelled"];
-
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
-fn num(doc: &Json, field: &str) -> Option<u64> {
-    let v = doc.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
 
 /// `SAT001`: schema and field shape. Returns `false` when the report is
 /// too malformed for the invariant checks to be meaningful.
@@ -69,7 +58,7 @@ fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
         }
     }
     for field in ["mii", "max_ii", "mapped_ii", "max_vars", "max_clauses"] {
-        if num(doc, field).is_none() {
+        if uint(doc, field).is_none() {
             out.push(err(
                 "SAT001",
                 Entity::Global,
@@ -117,7 +106,7 @@ fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
             "decisions",
             "restarts",
         ] {
-            if num(row, field).is_none() {
+            if uint(row, field).is_none() {
                 out.push(err(
                     "SAT001",
                     Entity::Event(i),
@@ -133,10 +122,10 @@ fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
 /// The invariant checks proper: budget overruns (`SAT001`), a ceiling
 /// timeout (`SAT002`) and decode/verify mismatches (`SAT003`).
 fn check_attempts(doc: &Json, out: &mut Diagnostics) {
-    let max_vars = num(doc, "max_vars").unwrap_or(u64::MAX);
-    let max_clauses = num(doc, "max_clauses").unwrap_or(u64::MAX);
-    let max_ii = num(doc, "max_ii").unwrap_or(0);
-    let mapped_ii = num(doc, "mapped_ii").unwrap_or(0);
+    let max_vars = uint(doc, "max_vars").unwrap_or(u64::MAX);
+    let max_clauses = uint(doc, "max_clauses").unwrap_or(u64::MAX);
+    let max_ii = uint(doc, "max_ii").unwrap_or(0);
+    let mapped_ii = uint(doc, "mapped_ii").unwrap_or(0);
     let rows = doc
         .get("attempts")
         .and_then(Json::as_arr)
@@ -144,11 +133,11 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
         .unwrap_or_default();
     let mut ceiling_timeout = None;
     for (i, row) in rows.iter().enumerate() {
-        let ii = num(row, "ii").unwrap_or(0);
+        let ii = uint(row, "ii").unwrap_or(0);
         let result = row.get("result").and_then(Json::as_str).unwrap_or("?");
         let (vars, clauses) = (
-            num(row, "vars").unwrap_or(0),
-            num(row, "clauses").unwrap_or(0),
+            uint(row, "vars").unwrap_or(0),
+            uint(row, "clauses").unwrap_or(0),
         );
         if result == "budget" || vars > max_vars || clauses > max_clauses {
             out.push(err(
@@ -163,7 +152,7 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
         if result == "timeout" && ii >= max_ii {
             ceiling_timeout = Some((i, ii));
         }
-        let mismatches = num(row, "decode_mismatches").unwrap_or(0);
+        let mismatches = uint(row, "decode_mismatches").unwrap_or(0);
         if mismatches > 0 {
             out.push(err(
                 "SAT003",

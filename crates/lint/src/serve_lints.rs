@@ -22,22 +22,15 @@
 //! a decrease means the daemon restarted mid-scrape or the collector
 //! interleaved two servers.
 
-use crate::{Diagnostic, Diagnostics, Entity, Severity};
+use crate::report_fields::{err, uint};
+use crate::{Diagnostics, Entity};
 use panorama_trace::json::{self, Json};
 
 /// The schema this linter validates (mirrored by `panorama-serve`).
 pub const SERVE_METRICS_SCHEMA: &str = "panorama-serve-metrics-v1";
 
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
 fn num(doc: &Json, section: &str, field: &str) -> Option<u64> {
-    let v = doc.get(section)?.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
+    uint(doc.get(section)?, field)
 }
 
 /// Fields every snapshot must carry, as `(section, field)` pairs. All are

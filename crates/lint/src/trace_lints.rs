@@ -14,6 +14,7 @@
 //! hand-edited fixtures, truncated artifact uploads, and future writers —
 //! so CI can fail fast on a corrupt trace artifact.
 
+use crate::report_fields::err;
 use crate::{Diagnostic, Diagnostics, Entity, Severity};
 use panorama_trace::json::{self, Json};
 
@@ -21,10 +22,6 @@ use panorama_trace::json::{self, Json};
 /// `TRACE006` fires. Matches the pipeline's acceptance bar (phases within
 /// 10% of end-to-end wall-clock).
 const MIN_TOP_LEVEL_COVERAGE: f64 = 0.90;
-
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
 
 /// Validates a `panorama-trace-v1` document, appending findings to `out`.
 /// Returns early on unparseable JSON or a wrong schema — field checks on

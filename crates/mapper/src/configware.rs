@@ -9,7 +9,7 @@
 //! forwarding slots it drives (and from which on-PE source), and which
 //! registers latch a new value. The encoding is *executable*: a
 //! data-carrying interpreter can replay the words cycle by cycle without
-//! consulting the mapping or the DFG edges (see `panorama-exec`).
+//! consulting the mapping or the DFG edges (see `panorama_sim::exec`).
 //! [`Configware::size_bits`] estimates the configuration-memory
 //! footprint, the hardware cost that motivates small IIs.
 

@@ -1,12 +1,14 @@
 //! Reference interpreter: executes a DFG's dataflow semantics directly,
 //! iteration by iteration.
 //!
-//! The value model lives in [`crate::semantics`]; this module just runs
-//! the dataflow fixpoint: each iteration evaluates ops in topological
-//! order, back edges read `distance` iterations into the past (or the
-//! pre-loop initial value).
+//! The value model is a [`Semantics`]; this module just runs the dataflow
+//! fixpoint: each iteration evaluates ops in topological order, back
+//! edges read `distance` iterations into the past (or the pre-loop
+//! initial value). Both machines are checked against it: route replay
+//! under [`crate::semantics::Hashed`], configware replay under
+//! [`crate::semantics::InputVectors`].
 
-use crate::semantics::{initial_value, op_value};
+use crate::semantics::{initial_value, op_value, Semantics};
 use panorama_dfg::{Dfg, OpId};
 
 /// Per-iteration values of every operation, as computed by direct
@@ -31,35 +33,25 @@ impl Interpretation {
     pub fn iterations(&self) -> usize {
         self.values.len()
     }
-
-    /// The value `op` produced in (possibly negative) iteration
-    /// `iter - distance`; falls back to the pre-loop initial value.
-    pub fn value_back(&self, dfg: &Dfg, op: OpId, iter: i64) -> u64 {
-        if iter < 0 {
-            initial_value(&dfg.op(op).name)
-        } else {
-            self.value(op, iter as usize)
-        }
-    }
 }
 
-/// Interprets `iterations` loop iterations of `dfg`.
+/// Interprets `iterations` loop iterations of `dfg` under `sem`.
 ///
 /// # Panics
 ///
 /// Panics when the DFG is invalid (call [`Dfg::validate`] first for
 /// untrusted graphs).
-pub fn interpret(dfg: &Dfg, iterations: usize) -> Interpretation {
+pub fn interpret(dfg: &Dfg, sem: &impl Semantics, iterations: usize) -> Interpretation {
     let order = dfg.topo_order();
     let mut values: Vec<Vec<u64>> = Vec::with_capacity(iterations);
     for iter in 0..iterations {
         let mut row = vec![0u64; dfg.num_ops()];
         for &op in &order {
-            let inputs: Vec<u64> = dfg
+            let operands: Vec<u64> = dfg
                 .graph()
                 .incoming(op)
                 .map(|e| {
-                    let d = e.weight.distance() as i64;
+                    let d = i64::from(e.weight.distance());
                     if d == 0 {
                         row[e.src.index()]
                     } else if iter as i64 - d >= 0 {
@@ -69,7 +61,7 @@ pub fn interpret(dfg: &Dfg, iterations: usize) -> Interpretation {
                     }
                 })
                 .collect();
-            row[op.index()] = op_value(dfg, op, iter as u64, inputs.into_iter());
+            row[op.index()] = op_value(sem, dfg.op(op), iter as u64, &operands);
         }
         values.push(row);
     }
@@ -79,6 +71,7 @@ pub fn interpret(dfg: &Dfg, iterations: usize) -> Interpretation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semantics::{Hashed, InputVectors, VectorKind};
     use panorama_dfg::{DfgBuilder, OpKind};
 
     fn mac() -> Dfg {
@@ -97,8 +90,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let dfg = mac();
-        let a = interpret(&dfg, 5);
-        let b = interpret(&dfg, 5);
+        let a = interpret(&dfg, &Hashed, 5);
+        let b = interpret(&dfg, &Hashed, 5);
         for iter in 0..5 {
             for op in dfg.op_ids() {
                 assert_eq!(a.value(op, iter), b.value(op, iter));
@@ -113,7 +106,7 @@ mod tests {
         let l = b.op(OpKind::Load, "l");
         let c = b.op(OpKind::Const, "c");
         let dfg = b.build().unwrap();
-        let i = interpret(&dfg, 3);
+        let i = interpret(&dfg, &Hashed, 3);
         assert_ne!(i.value(l, 0), i.value(l, 1));
         assert_eq!(i.value(c, 0), i.value(c, 2));
     }
@@ -121,7 +114,7 @@ mod tests {
     #[test]
     fn values_are_input_sensitive() {
         let dfg = mac();
-        let i = interpret(&dfg, 3);
+        let i = interpret(&dfg, &Hashed, 3);
         let m = OpId::from_index(2);
         // mul output differs across iterations because loads differ
         assert_ne!(i.value(m, 0), i.value(m, 1));
@@ -130,33 +123,27 @@ mod tests {
     #[test]
     fn back_edge_uses_previous_iteration() {
         let dfg = mac();
-        let i = interpret(&dfg, 4);
+        let i = interpret(&dfg, &Hashed, 4);
         let acc = OpId::from_index(3);
         let m = OpId::from_index(2);
         // recompute acc@2 from (m@2, acc@1) and compare
-        let expect = op_value(
-            &dfg,
-            acc,
-            2,
-            vec![i.value(m, 2), i.value(acc, 1)].into_iter(),
-        );
+        let expect = op_value(&Hashed, dfg.op(acc), 2, &[i.value(m, 2), i.value(acc, 1)]);
         assert_eq!(i.value(acc, 2), expect);
     }
 
     #[test]
     fn first_iteration_back_edge_uses_initial_value() {
         let dfg = mac();
-        let i = interpret(&dfg, 1);
+        let i = interpret(&dfg, &Hashed, 1);
         let acc = OpId::from_index(3);
         let m = OpId::from_index(2);
         let expect = op_value(
-            &dfg,
-            acc,
+            &Hashed,
+            dfg.op(acc),
             0,
-            vec![i.value(m, 0), initial_value("acc")].into_iter(),
+            &[i.value(m, 0), initial_value("acc")],
         );
         assert_eq!(i.value(acc, 0), expect);
-        assert_eq!(i.value_back(&dfg, acc, -1), initial_value("acc"));
     }
 
     #[test]
@@ -165,7 +152,7 @@ mod tests {
         let l1 = b.op(OpKind::Load, "l1");
         let l2 = b.op(OpKind::Load, "l2");
         let dfg = b.build().unwrap();
-        let i = interpret(&dfg, 1);
+        let i = interpret(&dfg, &Hashed, 1);
         assert_ne!(i.value(l1, 0), i.value(l2, 0));
     }
 
@@ -182,8 +169,28 @@ mod tests {
         b.data(l1, a2);
         b.data(l2, a2);
         let dfg = b.build().unwrap();
-        let i = interpret(&dfg, 2);
+        let i = interpret(&dfg, &Hashed, 2);
         assert_eq!(i.value(a1, 0), i.value(a2, 0));
         assert_eq!(i.value(a1, 1), i.value(a2, 1));
+    }
+
+    #[test]
+    fn mac_is_a_real_multiply_accumulate_under_ones() {
+        let dfg = mac();
+        let r = interpret(&dfg, &InputVectors::new(VectorKind::Ones, 0), 3);
+        let m = OpId::from_index(2);
+        let acc = OpId::from_index(3);
+        assert_eq!(r.value(m, 0), 1, "1 * 1");
+        // acc@0 = m@0 + initial_value("acc"); then +1 each iteration
+        let init = initial_value("acc");
+        assert_eq!(r.value(acc, 0), init.wrapping_add(1));
+        assert_eq!(r.value(acc, 2), init.wrapping_add(3));
+    }
+
+    #[test]
+    fn zeros_vector_annihilates_products() {
+        let dfg = mac();
+        let r = interpret(&dfg, &InputVectors::new(VectorKind::Zeros, 0), 2);
+        assert_eq!(r.value(OpId::from_index(2), 1), 0);
     }
 }

@@ -1,10 +1,18 @@
-//! Cycle-level execution of a mapping: every routed value is walked
-//! through the machine, claiming each physical resource at each absolute
-//! cycle, and compared against the reference interpreter.
+//! Route replay: every routed value is walked through the machine,
+//! claiming each physical resource at each absolute cycle, and the
+//! distinct values per resource and cycle are checked against capacity.
+//!
+//! Values come from the reference interpreter under
+//! [`Hashed`](crate::semantics::Hashed) semantics, so two iterations'
+//! instances of one producer never look alike. Route replay does not
+//! recompute ops: what it certifies is that every value is delivered on
+//! time, to the right place, without colliding with another.
 
 use crate::interp::interpret;
+use crate::semantics::Hashed;
+use crate::ShapeMismatch;
 use panorama_arch::{Cgra, NodeKind};
-use panorama_dfg::{Dfg, OpKind};
+use panorama_dfg::Dfg;
 use panorama_mapper::Mapping;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -17,20 +25,8 @@ pub enum SimError {
     /// execute cycle by cycle.
     NoRoutes,
     /// The mapping's tables do not match the DFG it is being simulated
-    /// against — wrong op count or wrong route count. Indexing into a
-    /// mismatched mapping would read garbage (or panic), so this is
-    /// rejected up front; the differential fuzzer exercises exactly this
-    /// class of truncated/foreign mappings.
-    WrongShape {
-        /// Ops in the mapping.
-        ops: usize,
-        /// Ops in the DFG.
-        expected_ops: usize,
-        /// Routes in the mapping.
-        deps: usize,
-        /// Dependencies in the DFG.
-        expected_deps: usize,
-    },
+    /// against — wrong op count or wrong route count.
+    WrongShape(ShapeMismatch),
     /// Two *different* values occupied one physical resource in the same
     /// cycle — e.g. the modulo-wrap hazard where consecutive iterations
     /// collide in a register.
@@ -59,29 +55,13 @@ pub enum SimError {
         /// DFG edge index.
         edge: usize,
     },
-    /// An executed operation produced a value different from the
-    /// reference interpretation (operand mis-delivery).
-    WrongValue {
-        /// Operation index.
-        op: usize,
-        /// Iteration in which the mismatch occurred.
-        iteration: usize,
-    },
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::NoRoutes => write!(f, "mapping has no routes to simulate"),
-            SimError::WrongShape {
-                ops,
-                expected_ops,
-                deps,
-                expected_deps,
-            } => write!(
-                f,
-                "mapping shape mismatch: {ops} ops / {deps} routes vs DFG with {expected_ops} ops / {expected_deps} deps"
-            ),
+            SimError::WrongShape(shape) => shape.fmt(f),
             SimError::ValueCollision {
                 kind,
                 cycle,
@@ -100,14 +80,17 @@ impl fmt::Display for SimError {
                     "edge {edge}'s route does not connect its producer to its consumer"
                 )
             }
-            SimError::WrongValue { op, iteration } => {
-                write!(f, "op {op} computed a wrong value in iteration {iteration}")
-            }
         }
     }
 }
 
 impl Error for SimError {}
+
+impl From<ShapeMismatch> for SimError {
+    fn from(shape: ShapeMismatch) -> SimError {
+        SimError::WrongShape(shape)
+    }
+}
 
 /// Outcome of a successful simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +99,7 @@ pub struct SimReport {
     pub iterations: usize,
     /// Absolute cycles covered (iterations pipelined at II, plus drain).
     pub cycles: u64,
-    /// Operand deliveries checked against the interpreter.
+    /// Operand deliveries checked for arrival cycle and endpoints.
     pub checked_deliveries: usize,
     /// Fraction of FU slots doing useful work over the steady state.
     pub fu_utilization: f64,
@@ -124,8 +107,9 @@ pub struct SimReport {
     pub link_utilization: f64,
 }
 
-/// Executes `iterations` pipelined loop iterations of `mapping` and
-/// cross-checks every value against [`interpret`].
+/// Executes `iterations` pipelined loop iterations of `mapping`, walking
+/// every route instance and checking arrival, endpoints and per-cycle
+/// resource occupancy.
 ///
 /// # Errors
 ///
@@ -137,18 +121,10 @@ pub fn simulate(
     iterations: usize,
 ) -> Result<SimReport, SimError> {
     let routes = mapping.routes().ok_or(SimError::NoRoutes)?;
-    let mapped_ops = mapping.assignments().count();
-    if mapped_ops != dfg.num_ops() || routes.len() != dfg.num_deps() {
-        return Err(SimError::WrongShape {
-            ops: mapped_ops,
-            expected_ops: dfg.num_ops(),
-            deps: routes.len(),
-            expected_deps: dfg.num_deps(),
-        });
-    }
+    ShapeMismatch::check(dfg, mapping, routes)?;
     let ii = mapping.ii() as u64;
     let mrrg = cgra.mrrg_shared(mapping.ii());
-    let reference = interpret(dfg, iterations);
+    let reference = interpret(dfg, &Hashed, iterations);
 
     // (physical resource, absolute cycle) → distinct values present
     let mut occupancy: HashMap<(u32, u64), HashSet<u64>> = HashMap::new();
@@ -226,40 +202,25 @@ pub fn simulate(
         }
     }
 
-    // capacity check per (resource, cycle) over *distinct* values
-    for ((res, cycle), values) in &occupancy {
+    // capacity check per (resource, cycle) over *distinct* values; the
+    // earliest collision is reported, whatever the map's iteration order
+    let capacity_of = |res: u32| {
         // reconstruct a node of this resource to query kind/capacity
-        let node = panorama_arch::MrrgNodeId::from_index(*res as usize);
-        let cap = mrrg.capacity(node) as usize;
-        if values.len() > cap {
-            return Err(SimError::ValueCollision {
-                kind: mrrg.kind(node),
-                cycle: *cycle,
-                values: values.len(),
-                cap,
-            });
-        }
-    }
-
-    // semantic re-check: recompute each op from its delivered operands
-    for iter in 0..iterations {
-        for op in dfg.op_ids() {
-            if dfg.op(op).kind == OpKind::Const || dfg.op(op).kind == OpKind::Load {
-                continue;
-            }
-            let inputs: Vec<u64> = dfg
-                .graph()
-                .incoming(op)
-                .map(|e| reference.value_back(dfg, e.src, iter as i64 - e.weight.distance() as i64))
-                .collect();
-            let recomputed = crate::semantics::op_value(dfg, op, iter as u64, inputs.into_iter());
-            if recomputed != reference.value(op, iter) {
-                return Err(SimError::WrongValue {
-                    op: op.index(),
-                    iteration: iter,
-                });
-            }
-        }
+        let node = panorama_arch::MrrgNodeId::from_index(res as usize);
+        (node, mrrg.capacity(node) as usize)
+    };
+    let collision = occupancy
+        .iter()
+        .filter(|((res, _), values)| values.len() > capacity_of(*res).1)
+        .min_by_key(|((res, cycle), _)| (*cycle, *res));
+    if let Some(((res, cycle), values)) = collision {
+        let (node, cap) = capacity_of(*res);
+        return Err(SimError::ValueCollision {
+            kind: mrrg.kind(node),
+            cycle: *cycle,
+            values: values.len(),
+            cap,
+        });
     }
 
     // utilization over the steady state (one full II window mid-stream)
@@ -291,7 +252,7 @@ pub fn simulate(
 mod tests {
     use super::*;
     use panorama_arch::CgraConfig;
-    use panorama_dfg::{kernels, DfgBuilder, KernelId, KernelScale};
+    use panorama_dfg::{kernels, DfgBuilder, KernelId, KernelScale, OpKind};
     use panorama_mapper::{LowerLevelMapper, SprMapper, UltraFastMapper};
 
     fn cgra() -> Cgra {
@@ -340,12 +301,9 @@ mod tests {
         assert!(SimError::ArrivalMismatch { edge: 3 }
             .to_string()
             .contains("edge 3"));
-        assert!(SimError::WrongValue {
-            op: 1,
-            iteration: 2
-        }
-        .to_string()
-        .contains("op 1"));
+        assert!(SimError::Misrouted { edge: 1 }
+            .to_string()
+            .contains("edge 1"));
     }
 
     #[test]
@@ -361,8 +319,9 @@ mod tests {
 #[cfg(test)]
 mod wrap_hazard_tests {
     use super::*;
+    use crate::exec::{execute, ExecOptions};
     use panorama_arch::CgraConfig;
-    use panorama_dfg::DfgBuilder;
+    use panorama_dfg::{DfgBuilder, OpKind};
     use panorama_mapper::{Mapping, Route};
 
     /// Hand-builds the modulo-wrap hazard: a load's value parked in one
@@ -370,7 +329,8 @@ mod wrap_hazard_tests {
     /// Historically the static checker deduplicated same-producer visits
     /// per node and missed this; the differential fuzzer caught the gap
     /// (simulate rejected a verified mapping) and verify now counts
-    /// occupancy per `(producer, visit time)`. Both oracles must agree.
+    /// occupancy per `(producer, visit time)`. All three oracles must
+    /// reject it.
     #[test]
     fn register_wrap_collision_is_caught() {
         let mut b = DfgBuilder::new("hazard");
@@ -413,78 +373,27 @@ mod wrap_hazard_tests {
             matches!(verr, panorama_mapper::VerifyError::CapacityExceeded { .. }),
             "verify must count per (producer, time), got {verr:?}"
         );
-        // executing two or more iterations exposes the same collision
+        // executing two or more iterations exposes the same collision,
+        // reported at the first cycle two iterations share the register
         let err = simulate(&dfg, &cgra, &mapping, 3).unwrap_err();
         assert!(
-            matches!(err, SimError::ValueCollision { .. }),
-            "expected a value collision, got {err}"
+            matches!(
+                err,
+                SimError::ValueCollision {
+                    kind: NodeKind::Reg { index: 0 },
+                    cycle: 4,
+                    ..
+                }
+            ),
+            "expected a register collision at cycle 4, got {err:?}"
         );
-    }
-}
-
-/// One observable event in the executed schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Absolute cycle.
-    pub cycle: u64,
-    /// Loop iteration the executing op instance belongs to.
-    pub iteration: usize,
-    /// Operation index.
-    pub op: usize,
-    /// PE index executing it.
-    pub pe: usize,
-}
-
-/// Lists the first `max_cycles` cycles of op executions in cycle order —
-/// a waveform-style view of the pipelined schedule.
-pub fn trace(dfg: &Dfg, mapping: &Mapping, iterations: usize, max_cycles: u64) -> Vec<TraceEvent> {
-    let ii = mapping.ii() as u64;
-    let mut events = Vec::new();
-    for iter in 0..iterations {
-        for op in dfg.op_ids() {
-            let cycle = mapping.time_of(op) as u64 + iter as u64 * ii;
-            if cycle < max_cycles {
-                events.push(TraceEvent {
-                    cycle,
-                    iteration: iter,
-                    op: op.index(),
-                    pe: mapping.pe_of(op).index(),
-                });
-            }
-        }
-    }
-    events.sort_by_key(|e| (e.cycle, e.pe));
-    events
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use panorama_arch::CgraConfig;
-    use panorama_dfg::{kernels, KernelId, KernelScale};
-    use panorama_mapper::{LowerLevelMapper, SprMapper};
-
-    #[test]
-    fn trace_is_cycle_ordered_and_pipelined() {
-        let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-        let dfg = kernels::generate(KernelId::Fir, KernelScale::Tiny);
-        let mapping = SprMapper::default().map(&dfg, &cgra, None).unwrap();
-        let t = trace(&dfg, &mapping, 3, u64::MAX);
-        assert_eq!(t.len(), 3 * dfg.num_ops());
-        for w in t.windows(2) {
-            assert!(w[0].cycle <= w[1].cycle);
-        }
-        // pipelining: iteration 1's first event starts II cycles later
-        let first_of = |it: usize| t.iter().find(|e| e.iteration == it).unwrap().cycle;
-        assert_eq!(first_of(1) - first_of(0), mapping.ii() as u64);
-    }
-
-    #[test]
-    fn trace_respects_cycle_horizon() {
-        let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-        let dfg = kernels::generate(KernelId::Cordic, KernelScale::Tiny);
-        let mapping = SprMapper::default().map(&dfg, &cgra, None).unwrap();
-        let t = trace(&dfg, &mapping, 4, 3);
-        assert!(t.iter().all(|e| e.cycle < 3));
+        // the configware reads the register after the next iteration has
+        // overwritten it, so `v` computes from the wrong token
+        let outcome = execute(&dfg, &cgra, &mapping, &ExecOptions::default()).unwrap();
+        let (_, divergence) = outcome.first_divergence().expect("execution must diverge");
+        assert!(
+            divergence.starts_with("op #1 (v) iteration 0"),
+            "{divergence}"
+        );
     }
 }

@@ -44,7 +44,7 @@
 //! it always records and prints the per-phase profile table instead of the
 //! mapping details. `exec` compiles a kernel and then *runs* the emitted
 //! configware on the data-carrying cycle-accurate machine of
-//! [`panorama_exec`], comparing every produced token against the DFG
+//! [`panorama_sim::exec`], comparing every produced token against the DFG
 //! reference interpreter under five input-vector families; `--out`/`--json`
 //! emit the deterministic `panorama-exec-v1` report and a recorded
 //! divergence exits nonzero. `lint` runs the static diagnostics of [`panorama_lint`]
@@ -59,13 +59,12 @@
 //! [`panorama_fuzz`]: seeded random DFG/architecture sweeps, both
 //! lower-level backends, verify/simulate/exact-II oracle cross-checks,
 //! failing-case minimization, and regression-corpus replay; its
-//! `panorama-fuzz-v2` JSON report is what `lint --fuzz-json` validates.
+//! `panorama-fuzz-v2` JSON report is what `lint --report` validates.
 
 use panorama::{AnalyzeConfig, BackendId, Panorama, PanoramaConfig};
 use panorama_analyze::{analyze, analyze_diagnostics};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
-use panorama_exec::{exec_report_json, execute, ExecOptions};
 use panorama_lint::{
     lint_analyze_json, lint_exec_json, lint_fuzz_json, lint_sat_json, lint_serve_json,
     lint_trace_json, Diagnostics, LintContext, Registry,
@@ -74,6 +73,7 @@ use panorama_mapper::{
     min_ii, Configware, ExactMapper, IiAttempt, LowerLevelMapper, SatMapper, SprMapper,
     UltraFastMapper,
 };
+use panorama_sim::exec::{exec_report_json, execute, ExecOptions};
 use panorama_sim::simulate;
 use panorama_trace::{RecordingSink, TraceEvent, TraceReport, Tracer};
 use std::collections::HashMap;
@@ -192,9 +192,6 @@ const LINT_FLAGS: FlagSpec = &[
     ("max-ii", false),
     ("json", true),
     ("report", false),
-    ("trace-json", false),
-    ("serve-json", false),
-    ("fuzz-json", false),
 ];
 const FUZZ_FLAGS: FlagSpec = &[
     ("seed", false),
@@ -1087,12 +1084,15 @@ fn read_report(path: &str) -> Result<String, Box<dyn Error>> {
 }
 
 /// Dispatches a report document to the matching schema linter by its
-/// top-level `schema` field. Unparseable documents fall through to the
-/// trace linter, which reports the syntax error as a diagnostic.
+/// top-level `schema` field (for an array of successive serve-metrics
+/// snapshots, the first element's). Unparseable documents fall through to
+/// the trace linter, which reports the syntax error as a diagnostic.
 fn lint_report(text: &str, diags: &mut Diagnostics) -> Result<(), Box<dyn Error>> {
-    let schema = panorama_trace::json::parse(text)
-        .ok()
-        .and_then(|d| d.get("schema").and_then(|s| s.as_str().map(String::from)));
+    let schema = panorama_trace::json::parse(text).ok().and_then(|d| {
+        let head = d.as_arr().map_or(Some(&d), <[_]>::first)?;
+        head.get("schema")
+            .and_then(|s| s.as_str().map(String::from))
+    });
     match schema.as_deref() {
         Some("panorama-serve-metrics-v1") => lint_serve_json(text, diags),
         Some("panorama-fuzz-v2") => lint_fuzz_json(text, diags),
@@ -1119,10 +1119,7 @@ fn lint_report(text: &str, diags: &mut Diagnostics) -> Result<(), Box<dyn Error>
 /// finding is reported.
 fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let scale = parse_scale(flags.get("scale"))?;
-    if !["dfg", "report", "trace-json", "serve-json", "fuzz-json"]
-        .iter()
-        .any(|k| flags.contains_key(*k))
-    {
+    if !flags.contains_key("dfg") && !flags.contains_key("report") {
         return Err("`lint` needs --dfg <file|-|kernel-name> and/or --report <file>".into());
     }
     let mut diags = Diagnostics::new();
@@ -1142,20 +1139,6 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     }
     if let Some(path) = flags.get("report") {
         lint_report(&read_report(path)?, &mut diags)?;
-    }
-    // Deprecated spellings of `--report` from before schema auto-detection;
-    // each still pins its original schema linter.
-    type LintFn = fn(&str, &mut Diagnostics);
-    let aliases: [(&str, LintFn); 3] = [
-        ("trace-json", lint_trace_json),
-        ("serve-json", lint_serve_json),
-        ("fuzz-json", lint_fuzz_json),
-    ];
-    for (flag, lint_fn) in aliases {
-        if let Some(path) = flags.get(flag) {
-            eprintln!("warning: --{flag} is deprecated; use --report {path}");
-            lint_fn(&read_report(path)?, &mut diags);
-        }
     }
     if flags.contains_key("json") {
         println!("{}", diags.render_json());

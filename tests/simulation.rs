@@ -11,8 +11,8 @@
 use panorama::{Panorama, PanoramaConfig};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, KernelId, KernelScale};
-use panorama_exec::{execute, ExecError, ExecOptions};
 use panorama_mapper::{ExactConfig, ExactMapper, SatMapper, SprMapper, UltraFastMapper};
+use panorama_sim::exec::{execute, ExecError, ExecOptions};
 use panorama_sim::{simulate, SimError};
 
 /// Per-kernel outcome: simulated clean, or skipped for a stated reason.

@@ -1,36 +1,49 @@
-//! Table-driven cross-check of the two mapping oracles.
+//! Table-driven cross-check of the three mapping oracles.
 //!
 //! `Mapping::verify` is the *static* oracle: it checks structure —
 //! placement legality, dependence timing, route endpoints, latency, and
-//! resource capacity. `panorama_sim::simulate` is the *dynamic* oracle: it
-//! executes the pipelined loop and cross-checks arrival cycles, steady-
-//! state resource occupancy, and actual values against the sequential
-//! interpreter.
+//! resource capacity. `panorama_sim::simulate` replays the *routes*: it
+//! walks the pipelined loop and checks arrival cycles, route endpoints
+//! and per-cycle resource occupancy. `panorama_sim::exec::execute`
+//! replays the emitted *configware* on the data-carrying machine and
+//! compares every token against the reference interpreter.
 //!
 //! Each test takes a known-good SPR\* mapping, applies one targeted
-//! corruption, and asserts the oracles reject it. The table documents
-//! which oracle catches which defect class:
+//! corruption, and asserts the oracles reject it. `execute` must come
+//! back with `Err` or a recorded divergence — never a pass, never a
+//! panic. The table documents what each oracle reports on the fixture:
 //!
-//! | mutation              | verify                  | simulate            |
-//! |-----------------------|-------------------------|---------------------|
-//! | swap two placements   | RouteEndpoint           | rejects (arrival)   |
-//! | truncate a route      | RouteLatency/Endpoint   | rejects (arrival)   |
-//! | drop a route entirely | RouteMissing            | rejects (no path)   |
-//! | alias another route   | RouteEndpoint/Disconn.  | rejects (arrival)   |
-//! | break dependence time | DependenceViolated      | rejects (arrival)   |
-//! | collide two FU slots  | FuConflict              | rejects (collision) |
+//! | mutation              | verify                 | simulate      | execute                       |
+//! |-----------------------|------------------------|---------------|-------------------------------|
+//! | swap two placements   | RouteEndpoint          | Misrouted     | reads a bubble                |
+//! | truncate a route      | RouteLatency/Endpoint  | Misrouted     | selects the FU's own result   |
+//! | drop a route entirely | RouteMissing           | Misrouted     | selects the FU's own result   |
+//! | alias another route   | RouteEndpoint/Disconn. | Misrouted     | reads a bubble                |
+//! | break dependence time | DependenceViolated     | Misrouted     | reads a bubble                |
+//! | collide two FU slots  | FuConflict             | Misrouted     | reads a bubble                |
+//! | op table one short    | WrongShape             | WrongShape    | WrongShape                    |
+//! | register wrap hazard  | CapacityExceeded       | ValueCollision{Reg, cycle 4} | `v` diverges at iteration 0 |
 //!
-//! Both oracles overlap on most structural defects (a broken route also
+//! The register wrap hazard is hand-built in `panorama-sim`'s
+//! `wrap_hazard_tests`, next to the machines it exercises.
+//!
+//! The oracles overlap on most structural defects (a broken route also
 //! produces wrong dynamics), which is exactly what makes differential
 //! fuzzing informative: a case where they *disagree* — like the
 //! `route-dwell-link-collision` corpus entry, where a route dwelling on a
 //! link across II windows passed the old per-producer verify but failed
-//! simulation — is a bug in one of the oracles or in the mapper.
+//! simulation — is a bug in one of the oracles or in the mapper. Both
+//! machines stay because each sees what the other cannot: only route
+//! replay names the resource and the cycle of a collision, and it does so
+//! even on mappings that failed verify, where configware generation is
+//! not meaningful; only configware replay checks that the emitted control
+//! words compute the right values.
 
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{DfgBuilder, OpKind};
 use panorama_mapper::{LowerLevelMapper, Mapping, SprMapper, VerifyError};
-use panorama_sim::simulate;
+use panorama_sim::exec::{execute, ExecError, ExecOptions};
+use panorama_sim::{simulate, SimError};
 
 /// A small diamond with a recurrence: enough edges for every mutation.
 fn fixture() -> (panorama_dfg::Dfg, Cgra, Mapping) {
@@ -53,7 +66,18 @@ fn fixture() -> (panorama_dfg::Dfg, Cgra, Mapping) {
         .expect("fixture maps");
     mapping.verify(&dfg, &cgra).expect("fixture verifies");
     simulate(&dfg, &cgra, &mapping, 4).expect("fixture simulates");
+    assert!(execute(&dfg, &cgra, &mapping, &ExecOptions::default())
+        .expect("fixture executes")
+        .passed());
     (dfg, cgra, mapping)
+}
+
+/// Configware replay must refuse the mutant or record a divergence:
+/// never a pass, never a panic.
+fn execute_rejects(dfg: &panorama_dfg::Dfg, cgra: &Cgra, mutant: &Mapping) {
+    if let Ok(outcome) = execute(dfg, cgra, mutant, &ExecOptions::default()) {
+        assert!(!outcome.passed(), "execution must not pass the mutant");
+    }
 }
 
 /// Rebuilds the fixture mapping with one field replaced.
@@ -101,6 +125,7 @@ fn swapping_two_placements_is_rejected() {
         simulate(&dfg, &cgra, &mutant, 4).is_err(),
         "simulation must reject swapped placements"
     );
+    execute_rejects(&dfg, &cgra, &mutant);
 }
 
 #[test]
@@ -125,6 +150,7 @@ fn truncating_a_route_is_rejected() {
         simulate(&dfg, &cgra, &mutant, 4).is_err(),
         "simulation must reject a truncated route"
     );
+    execute_rejects(&dfg, &cgra, &mutant);
 }
 
 #[test]
@@ -141,6 +167,7 @@ fn dropping_a_route_is_rejected() {
         "an empty route is a missing route"
     );
     assert!(simulate(&dfg, &cgra, &mutant, 4).is_err());
+    execute_rejects(&dfg, &cgra, &mutant);
 }
 
 #[test]
@@ -167,6 +194,7 @@ fn aliasing_another_routes_path_is_rejected() {
         "an aliased path must break endpoints, latency, or adjacency, got {err:?}"
     );
     assert!(simulate(&dfg, &cgra, &mutant, 4).is_err());
+    execute_rejects(&dfg, &cgra, &mutant);
 }
 
 #[test]
@@ -193,6 +221,7 @@ fn breaking_dependence_timing_is_rejected() {
         simulate(&dfg, &cgra, &mutant, 4).is_err(),
         "simulation must reject broken dependence timing"
     );
+    execute_rejects(&dfg, &cgra, &mutant);
 }
 
 #[test]
@@ -212,4 +241,24 @@ fn colliding_two_fu_slots_is_rejected() {
         "two ops on one FU slot must conflict"
     );
     assert!(simulate(&dfg, &cgra, &mutant, 4).is_err());
+    execute_rejects(&dfg, &cgra, &mutant);
+}
+
+#[test]
+fn shortening_the_op_table_is_rejected_as_wrong_shape() {
+    let (dfg, cgra, m) = fixture();
+    let mut time_of: Vec<usize> = m.assignments().map(|(t, _)| t).collect();
+    let mut pe_of: Vec<_> = m.assignments().map(|(_, pe)| pe).collect();
+    time_of.pop();
+    pe_of.pop();
+    let mutant = rebuild(&m, &dfg, Some(time_of), Some(pe_of), None);
+    assert_eq!(mutant.verify(&dfg, &cgra), Err(VerifyError::WrongShape));
+    assert!(matches!(
+        simulate(&dfg, &cgra, &mutant, 4),
+        Err(SimError::WrongShape(_))
+    ));
+    assert!(matches!(
+        execute(&dfg, &cgra, &mutant, &ExecOptions::default()),
+        Err(ExecError::WrongShape(_))
+    ));
 }
