@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_cluster::{SpectralClustering, SpectralConfig};
 use panorama_dfg::{kernels, KernelId, KernelScale};
+use panorama_graph::AdjacencyMatrix;
 use panorama_ilp::{Cmp, LinExpr, Model, Sense};
 use panorama_linalg::{DMatrix, SymmetricEigen};
 use panorama_mapper::{LowerLevelMapper, SprMapper, UltraFastMapper};
@@ -21,6 +22,13 @@ fn bench_eigen(c: &mut Criterion) {
         l[(j, i)] = -1.0;
     }
     c.bench_function("jacobi_eigen_96", |b| {
+        b.iter(|| SymmetricEigen::new(std::hint::black_box(&l)).unwrap());
+    });
+    // the largest Laplacian the scaled workloads decompose (n = 209)
+    let dfg = kernels::generate(KernelId::Conv2d, KernelScale::Scaled);
+    let adj = AdjacencyMatrix::symmetric(dfg.graph());
+    let l = DMatrix::from_row_major(adj.len(), adj.len(), adj.laplacian());
+    c.bench_function("jacobi_eigen_conv2d_scaled", |b| {
         b.iter(|| SymmetricEigen::new(std::hint::black_box(&l)).unwrap());
     });
 }

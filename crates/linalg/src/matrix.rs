@@ -124,6 +124,11 @@ impl DMatrix {
         &self.data
     }
 
+    /// Mutably borrows the underlying row-major buffer.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Matrix transpose.
     pub fn transpose(&self) -> DMatrix {
         let mut t = DMatrix::zeros(self.cols, self.rows);

@@ -229,10 +229,11 @@ impl LowerLevelMapper for SprMapper {
                     break;
                 }
                 // II searches ascend: once the portfolio bound rejects this II
-                // it rejects every later one, so the candidate is done.
+                // it rejects every later one, so the candidate is done — with
+                // `ii - 1` as the highest II it actually tried.
                 if control.is_some_and(|c| !c.admits(ii)) {
                     trace.event_unstable("spr.cancelled", &[("ii", ii as i64)]);
-                    break;
+                    return Err(MapError::exhausted(ii.saturating_sub(1), self.name()));
                 }
                 stats.ii_attempts += 1;
                 let ii_span = trace.start();
@@ -682,5 +683,31 @@ mod tests {
             let cl = cgra.cluster_of(mapping.pe_of(op));
             assert!(restriction.allows(op, cl), "op {op} escaped its cluster");
         }
+    }
+
+    #[test]
+    fn bound_pruned_search_reports_the_last_ii_tried() {
+        use crate::PortfolioBound;
+        use panorama_trace::{RecordingSink, Tracer};
+        let cgra = cgra();
+        let dfg = kernels::generate(KernelId::Fir, KernelScale::Tiny);
+        let mii = min_ii(&dfg, &cgra).mii();
+        // a rival already mapped at MII with a better tie-break, so the
+        // bound rejects this candidate's very first II
+        let bound = PortfolioBound::new();
+        SearchControl::new(bound.clone(), 0, 0).record_success(mii);
+        let control = SearchControl::new(bound, 9, 9);
+        let mut trace = Tracer::new(RecordingSink::shared()).collector(0);
+        let err = SprMapper::default()
+            .map_traced(&dfg, &cgra, None, Some(&control), &mut trace)
+            .expect_err("the bound admits no II");
+        assert!(!err.cancelled);
+        assert_eq!(err.max_ii_tried, mii - 1, "no II was attempted");
+        let phases: Vec<_> = trace.into_events().iter().map(|e| e.phase).collect();
+        assert_eq!(
+            phases,
+            ["spr.cancelled"],
+            "a pruned search is not exhausted"
+        );
     }
 }

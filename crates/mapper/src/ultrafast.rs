@@ -283,10 +283,11 @@ impl LowerLevelMapper for UltraFastMapper {
                 trace.event_unstable("ultrafast.abort", &[("ii", ii as i64)]);
                 return Err(MapError::cancelled(ii, self.name()));
             }
-            // ascending II search: a rejected II rejects the whole tail
+            // ascending II search: a rejected II rejects the whole tail, and
+            // `ii - 1` is the highest II actually tried
             if control.is_some_and(|c| !c.admits(ii)) {
                 trace.event_unstable("ultrafast.cancelled", &[("ii", ii as i64)]);
-                break;
+                return Err(MapError::exhausted(ii.saturating_sub(1), self.name()));
             }
             stats.ii_attempts += 1;
             let ii_span = trace.start();
@@ -402,5 +403,31 @@ mod tests {
         let dfg = kernels::generate(KernelId::Cordic, KernelScale::Tiny);
         let mapping = UltraFastMapper::default().map(&dfg, &cgra(), None).unwrap();
         assert!(mapping.stats().ii_attempts >= 1);
+    }
+
+    #[test]
+    fn bound_pruned_search_reports_the_last_ii_tried() {
+        use crate::{PortfolioBound, SearchControl};
+        use panorama_trace::{RecordingSink, Tracer};
+        let cgra = cgra();
+        let dfg = kernels::generate(KernelId::Fir, KernelScale::Tiny);
+        let mii = min_ii(&dfg, &cgra).mii();
+        // a rival already mapped at MII with a better tie-break, so the
+        // bound rejects this candidate's very first II
+        let bound = PortfolioBound::new();
+        SearchControl::new(bound.clone(), 0, 0).record_success(mii);
+        let control = SearchControl::new(bound, 9, 9);
+        let mut trace = Tracer::new(RecordingSink::shared()).collector(0);
+        let err = UltraFastMapper::default()
+            .map_traced(&dfg, &cgra, None, Some(&control), &mut trace)
+            .expect_err("the bound admits no II");
+        assert!(!err.cancelled);
+        assert_eq!(err.max_ii_tried, mii - 1, "no II was attempted");
+        let phases: Vec<_> = trace.into_events().iter().map(|e| e.phase).collect();
+        assert_eq!(
+            phases,
+            ["ultrafast.cancelled"],
+            "a pruned search is not exhausted"
+        );
     }
 }
